@@ -5,19 +5,23 @@
 //   pipeline_bench --workload paper-text|mctb-reanalyze|ckpt-stream
 //                  --seed N --seconds S --trace 0|1 --work-dir DIR
 //                  [--spans FILE] [--small]
+//   pipeline_bench --calibrate --work-dir DIR [--small]
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 runs the same work once
 // untraced and once with layer spans, and prints the per-layer metrics. The
 // last stdout line is the result object; the `host` and `detail` lines
 // before it carry the host fingerprint and the workload-specific figures.
+// --calibrate prints the per-app checkpoint traffic that ckpt-stream replays.
 // README.md in this directory explains each workload and metric.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +49,7 @@ struct Args {
   double seconds = 10;
   bool trace = false;
   bool small = false;
+  bool calibrate = false;
   std::string work_dir;
   std::string spans_out;
 };
@@ -87,17 +92,19 @@ struct Acc {
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   int units = 0;                // sweeps (trace workloads) or streams (ckpt-stream)
-  std::vector<double> op_ms;    // per-operation caller wait: a sweep, or a commit
+  std::vector<double> op_ms;    // per-operation caller wait: an app, or a commit
+  std::vector<double> rate;     // items per second: of each app, or of each stream
+  std::vector<double> sweep_rate;  // trace records per second of each 14-app sweep
   double items = 0;             // trace records, or protected cells committed
-  double busy_s = 0;            // wall the throughput is taken over
-  std::vector<double> unit_rate;  // items per second of each unit
-  double op_peak_rss_mib = 0;   // trace workloads: see TraceWorkload::start_op
+  double busy_s = 0;            // operation time the items were processed in
+  double op_peak_rss_mib = 0;   // largest app peak of the current sweep (see start_op)
+  std::vector<double> sweep_peak_rss_mib;  // op_peak_rss_mib of each sweep
   double stored_bytes = 0;      // trace file bytes, or checkpoint bytes written
   std::uint64_t steps = 0;      // VM steps
   double preprocess_s = 0, dep_s = 0, identify_s = 0;  // Report::timings
   // ckpt-stream
   std::int64_t commits = 0;
-  std::vector<double> flush_ms, recover_ms, mutate_ms;
+  std::vector<double> flush_ms, recover_ms, replay_ms;
   ckpt::EngineStats engine;     // summed over streams
 
   void fail(const std::string& what) {
@@ -143,6 +150,9 @@ class Workload {
   virtual void unit(pb::Tracer& t, Acc& acc) = 0;
   /// Minimum sample count reached (besides the time budget).
   virtual bool enough(const Acc&) const { return true; }
+  /// The typical operation wait: the median, unless the operations differ
+  /// in kind (see TraceWorkload).
+  virtual double op_ms(const Acc& acc) const { return pb::median(acc.op_ms); }
   /// The workload's own names for its end-to-end figures (the detail line).
   virtual std::vector<pb::Metric> detail(const Acc& acc) const = 0;
   /// Per-layer figures this workload exercises, by metric name.
@@ -187,8 +197,8 @@ class TraceWorkload : public Workload {
   TraceWorkload(const Args& a, const ScratchDir& dir)
       : cases_(app_cases(a.small)), dir_(dir), rng_(a.seed) {}
 
-  /// One sweep. Its operation time (the sum of its apps' source-to-verdict
-  /// or container-to-verdict times) is the caller's wait for the suite.
+  /// One sweep: every app once. Each app is one operation, sampled on its
+  /// own; the sweep's rate is its records over the sum of its operations.
   void unit(pb::Tracer& t, Acc& acc) override {
     std::vector<std::size_t> order(cases_.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -196,14 +206,21 @@ class TraceWorkload : public Workload {
     const double busy0 = acc.busy_s;
     const double items0 = acc.items;
     for (const std::size_t i : order) run_app(cases_[i], t, acc);
-    acc.op_ms.push_back((acc.busy_s - busy0) * 1e3);
-    acc.unit_rate.push_back(per(acc.items - items0, acc.busy_s - busy0));
+    acc.sweep_rate.push_back(per(acc.items - items0, acc.busy_s - busy0));
+    acc.sweep_peak_rss_mib.push_back(acc.op_peak_rss_mib);
+    acc.op_peak_rss_mib = 0;
     ++acc.units;
   }
 
   std::vector<pb::Metric> detail(const Acc& a) const override {
-    return {{"records_per_s", pb::median(a.unit_rate), "1/s"}};
+    return {{"records_per_s", pb::median(a.sweep_rate), "1/s"}};
   }
+
+  /// The geometric mean over app operations. The apps' times span two
+  /// orders of magnitude, and the median falls between two of them, so it
+  /// jumps when they trade places; the geometric mean weighs every app the
+  /// same and averages their jitter.
+  double op_ms(const Acc& acc) const override { return pb::geomean(acc.op_ms); }
 
   std::map<std::string, double> layers(const LayerView& v) const override {
     const Acc& a = v.acc;
@@ -233,6 +250,13 @@ class TraceWorkload : public Workload {
   void end_op(Acc& acc) const {
     acc.op_peak_rss_mib =
         std::max(acc.op_peak_rss_mib, base_rss_ + pb::peak_rss_mib() - op_rss0_);
+  }
+  /// Book one completed operation's records and time.
+  static void add_op(Acc& acc, std::uint64_t records, double op_s) {
+    acc.items += static_cast<double>(records);
+    acc.busy_s += op_s;
+    acc.op_ms.push_back(op_s * 1e3);
+    acc.rate.push_back(per(static_cast<double>(records), op_s));
   }
 
   std::vector<AppCase> cases_;
@@ -345,10 +369,9 @@ class PaperText final : public TraceWorkload {
         fs::remove(mctb_path, ec);
       }
 
-      acc.items += static_cast<double>(sink->count());
+      add_op(acc, sink->count(), op_s);
       acc.steps += run.steps;
       acc.stored_bytes += static_cast<double>(sink->bytes());
-      acc.busy_s += op_s;
       add_timings(acc, report, read_s);
       if (!ok || !same) {
         acc.fail(name + (ok ? ": text/serial and MCTB/parallel reports differ"
@@ -445,9 +468,8 @@ class MctbReanalyze final : public TraceWorkload {
         pb::Scope s(t, "bench.cleanup", name);
         src.reset();
       }
-      acc.items += static_cast<double>(records);
+      add_op(acc, records, op_s);
       acc.stored_bytes += static_cast<double>(fs::file_size(path(c)));
-      acc.busy_s += op_s;
       add_timings(acc, report, read_s);
       if (!ok || !same) {
         acc.fail(name + (ok ? ": report bytes changed between sweeps"
@@ -464,8 +486,181 @@ class MctbReanalyze final : public TraceWorkload {
 };
 
 // ---------------------------------------------------------------------------
-// ckpt-stream: a solver-like write stream into the CheckpointEngine.
+// ckpt-stream: the 14 apps' real checkpoint traffic, replayed at scale.
 // ---------------------------------------------------------------------------
+
+/// One app's checkpoint traffic, recorded from a real run with its Table II
+/// critical set protected: the protected state at every commit, and the
+/// cells the engine captured at each commit (cells written since the last
+/// one, whether or not their bits changed).
+struct AppTraffic {
+  const apps::App* app = nullptr;
+  std::vector<ckpt::CheckpointImage> states;
+  std::vector<std::uint64_t> captured;
+
+  std::uint64_t cells() const {
+    std::uint64_t n = 0;
+    for (const auto& v : states.front().vars()) n += v.cells.size();
+    return n;
+  }
+};
+
+AppTraffic record_traffic(const apps::App& app, bool small, const std::string& dir) {
+  AppTraffic out;
+  out.app = &app;
+  const ir::Module module =
+      minic::compile(app.source(small ? app.default_params : app.table2_params));
+  const analysis::MclRegion region = app.mcl();
+  ckpt::EngineConfig cfg;
+  cfg.dir = dir;
+  cfg.tag = app.name;
+  cfg.full_every = 1 << 30;  // one base, then deltas only
+  cfg.async = false;
+  cfg.fsync_commits = false;
+  fs::create_directories(dir);
+  ckpt::CheckpointEngine engine(cfg);
+  engine.reset();
+  vm::RunOptions ropts;
+  ropts.mcl = vm::MclRegion{region.function, region.begin_line, region.end_line};
+  ropts.engine = &engine;
+  for (const auto& e : app.expected) {
+    engine.protect(e.name);
+    ropts.protect.push_back(e.name);
+  }
+  // on_checkpoint sees each boundary's image just before the engine commits
+  // it, so the engine's running count there covers the earlier commits.
+  std::vector<std::uint64_t> count{0};
+  ropts.on_checkpoint = [&](const ckpt::CheckpointImage& img) {
+    if (!out.states.empty()) count.push_back(engine.stats().cells_captured);
+    out.states.push_back(img);
+  };
+  vm::run_module(module, ropts);
+  engine.flush();
+  count.push_back(engine.stats().cells_captured);
+  engine.reset();
+  for (std::size_t k = 1; k < count.size(); ++k) out.captured.push_back(count[k] - count[k - 1]);
+  if (out.states.size() < 2 || out.captured.size() != out.states.size()) {
+    throw std::runtime_error(app.name + ": recorded commits do not match its loop iterations");
+  }
+  return out;
+}
+
+/// Replays one app's traffic over `copies` side-by-side copies of each of its
+/// protected variables. Every copy walks the recorded states forward and back
+/// (0, 1, ..., n-1, n-2, ..., 1, 0, 1, ...) from its own phase, so each step
+/// writes exactly the cells the engine captured at one real commit, with that
+/// commit's values (or the step's reverse). The cells written with unchanged
+/// bits are taken in variable order from the cells the step leaves alone. A
+/// copy scales its floats and offsets its integers by its own constants: the
+/// copies share the app's structure but not its bytes, so no codec stage can
+/// match one copy against another.
+class Replay {
+ public:
+  Replay(AppTraffic traffic, std::uint64_t copies, pb::Rng& rng, vm::Arena& arena,
+         std::vector<ckpt::ProtectedRegion>& regions)
+      : t_(std::move(traffic)), period_(2 * (t_.states.size() - 1)) {
+    const auto& first = t_.states.front().vars();
+    for (const auto& v : first) {
+      const std::uint64_t bytes = copies * v.cells.size() * vm::kCellBytes;
+      base_.push_back(arena.alloc_global(bytes));
+      regions.push_back({t_.app->name + "." + v.name, base_.back(), bytes});
+    }
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      copies_.push_back({rng.below(period_), 1.0 + rng.unit(), rng.below(1u << 16)});
+    }
+    build_steps();
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      const Copy& cp = copies_[c];
+      const auto& vars = t_.states[state_at(cp.phase)].vars();
+      for (std::size_t v = 0; v < vars.size(); ++v) {
+        for (std::size_t k = 0; k < vars[v].cells.size(); ++k) {
+          write(arena, c, v, k, vars[v].cells[k]);
+        }
+      }
+    }
+  }
+
+  /// Write stream iteration `g` (g >= 1) into the arena.
+  void step(vm::Arena& arena, std::uint64_t g) const {
+    for (std::uint64_t c = 0; c < copies_.size(); ++c) {
+      const std::uint64_t s = copies_[c].phase + g;
+      const std::uint64_t from = state_at(s - 1), to = state_at(s);
+      const auto& vars = t_.states[to].vars();
+      const auto& writes = steps_[std::min(from, to)];
+      for (std::size_t v = 0; v < vars.size(); ++v) {
+        for (const std::uint32_t k : writes[v]) write(arena, c, v, k, vars[v].cells[k]);
+      }
+    }
+  }
+
+ private:
+  struct Copy {
+    std::uint64_t phase;
+    double scale;
+    std::uint64_t offset;
+  };
+
+  /// State index at position `s` of the forward-and-back walk.
+  std::uint64_t state_at(std::uint64_t s) const {
+    s %= period_;
+    return s < t_.states.size() ? s : period_ - s;
+  }
+
+  /// steps_[k][v]: the cells of variable v written between states k and k+1.
+  void build_steps() {
+    const std::size_t nvars = t_.states.front().vars().size();
+    for (std::size_t k = 0; k + 1 < t_.states.size(); ++k) {
+      const auto& a = t_.states[k].vars();
+      const auto& b = t_.states[k + 1].vars();
+      std::vector<std::vector<std::uint32_t>> writes(nvars);
+      std::uint64_t n = 0;
+      for (std::size_t v = 0; v < nvars; ++v) {
+        for (std::uint32_t i = 0; i < b[v].cells.size(); ++i) {
+          if (!(a[v].cells[i] == b[v].cells[i])) writes[v].push_back(i), ++n;
+        }
+      }
+      std::uint64_t fill = t_.captured[k + 1] > n ? t_.captured[k + 1] - n : 0;
+      for (std::size_t v = 0; v < nvars && fill > 0; ++v) {
+        std::vector<std::uint32_t> merged;
+        std::size_t j = 0;
+        for (std::uint32_t i = 0; i < b[v].cells.size(); ++i) {
+          if (j < writes[v].size() && writes[v][j] == i) {
+            ++j;
+          } else if (fill > 0) {
+            --fill;
+          } else {
+            continue;
+          }
+          merged.push_back(i);
+        }
+        writes[v] = std::move(merged);
+      }
+      steps_.push_back(std::move(writes));
+    }
+  }
+
+  void write(vm::Arena& arena, std::uint64_t c, std::size_t v, std::size_t k,
+             const ckpt::Cell& cell) const {
+    const Copy& cp = copies_[c];
+    const std::uint64_t len = t_.states.front().vars()[v].cells.size();
+    vm::Arena::RawCell raw{cell.payload, static_cast<trace::ValueKind>(cell.kind)};
+    if (raw.kind == trace::ValueKind::Float) {
+      double x = 0;
+      std::memcpy(&x, &raw.payload, sizeof x);
+      x *= cp.scale;
+      std::memcpy(&raw.payload, &x, sizeof x);
+    } else if (raw.kind == trace::ValueKind::Int) {
+      raw.payload += cp.offset;
+    }
+    arena.write_raw(base_[v] + (c * len + k) * vm::kCellBytes, raw);
+  }
+
+  AppTraffic t_;
+  std::uint64_t period_;
+  std::vector<std::uint64_t> base_;  // arena address of each variable's copies
+  std::vector<Copy> copies_;
+  std::vector<std::vector<std::vector<std::uint32_t>>> steps_;
+};
 
 constexpr int kStreamCommits = 40;
 constexpr std::int64_t kMinCommitSamples = 200;  // >= 10 samples beyond p95
@@ -473,31 +668,34 @@ constexpr std::int64_t kMinCommitSamples = 200;  // >= 10 samples beyond p95
 class CkptStream final : public Workload {
  public:
   CkptStream(const Args& a, const ScratchDir& dir)
-      : rng_(a.seed), total_cells_(a.small ? (1u << 18) : (1u << 21)), dir_(dir) {}
+      : rng_(a.seed),
+        small_(a.small),
+        target_cells_(a.small ? (1u << 15) : (1u << 18)),
+        dir_(dir) {}
 
-  void setup(pb::Tracer&) override {
-    // Protected state: 3-6 double arrays whose sizes are drawn from the seed
-    // and sum to total_cells_ (16 MiB; 2 MiB with --small).
+  void setup(pb::Tracer& t) override {
+    // Record the 14 apps' traffic, then tile it to target_cells_ protected
+    // cells (2 MiB; 256 KiB with --small), an equal share per app. The seed
+    // draws each copy's phase and constants; the mix stays fixed, so the
+    // stored bytes per cell barely move from seed to seed.
+    std::vector<AppTraffic> traffic;
+    for (const apps::App& app : apps::registry()) {
+      pb::Scope s(t, "bench.record", app.name);
+      traffic.push_back(record_traffic(app, small_, dir_.file("record")));
+    }
     pb::Rng gen = rng_;  // every set-up builds the same state
     arena_ = std::make_unique<vm::Arena>();
     regions_.clear();
-    const int nvars = 3 + static_cast<int>(gen.below(4));
-    std::vector<double> w(static_cast<std::size_t>(nvars));
-    double wsum = 0;
-    for (double& x : w) wsum += (x = 1.0 + 3.0 * gen.unit());
-    std::uint64_t left = total_cells_;
-    for (int i = 0; i < nvars; ++i) {
-      const std::uint64_t cells =
-          i + 1 == nvars ? left
-                         : static_cast<std::uint64_t>(static_cast<double>(total_cells_) *
-                                                      w[static_cast<std::size_t>(i)] / wsum);
-      left -= cells;
-      const std::uint64_t addr = arena_->alloc_global(cells * vm::kCellBytes);
-      for (std::uint64_t k = 0; k < cells; ++k) {
-        arena_->write(addr + k * vm::kCellBytes, trace::Value::make_float(1.0 + gen.unit()));
-      }
-      regions_.push_back({"field" + std::to_string(i), addr, cells * vm::kCellBytes});
+    replays_.clear();
+    total_cells_ = 0;
+    for (std::size_t i = 0; i < traffic.size(); ++i) {
+      const std::uint64_t cells = traffic[i].cells();
+      const std::uint64_t copies =
+          std::max<std::uint64_t>(1, target_cells_ / traffic.size() / cells);
+      total_cells_ += copies * cells;
+      replays_.emplace_back(std::move(traffic[i]), copies, gen, *arena_, regions_);
     }
+    iteration_ = 0;
     cfg_ = ckpt::EngineConfig{};
     cfg_.dir = dir_.file("local");
     cfg_.partner_dir = dir_.file("partner");
@@ -527,10 +725,11 @@ class CkptStream final : public Workload {
     for (int it = 1; it <= kStreamCommits; ++it) {
       const std::string req = sreq + ".iter:" + std::to_string(it);
       {
-        pb::Scope s(t, "bench.mutate", req);
+        pb::Scope s(t, "bench.replay", req);
         const std::uint64_t m0 = pb::now_ns();
-        mutate();
-        acc.mutate_ms.push_back(static_cast<double>(pb::now_ns() - m0) * 1e-6);
+        ++iteration_;
+        for (const Replay& r : replays_) r.step(*arena_, iteration_);
+        acc.replay_ms.push_back(static_cast<double>(pb::now_ns() - m0) * 1e-6);
       }
       ++acc.attempted;
       pb::Scope s(t, "ckpt.commit", req);
@@ -585,7 +784,7 @@ class CkptStream final : public Workload {
     acc.commits += st.checkpoints;
     acc.items += static_cast<double>(st.checkpoints) * static_cast<double>(total_cells_);
     acc.busy_s += stream_s;
-    acc.unit_rate.push_back(
+    acc.rate.push_back(
         per(static_cast<double>(st.checkpoints) * static_cast<double>(total_cells_), stream_s));
     acc.stored_bytes += static_cast<double>(st.total_bytes());
     add_stats(acc.engine, st);
@@ -599,7 +798,7 @@ class CkptStream final : public Workload {
         {"commit_ms_p50", pb::quantile(a.op_ms, 0.50), "ms"},
         {"commit_ms_p95", pb::quantile(a.op_ms, 0.95), "ms"},
         {"commit_samples", static_cast<double>(a.op_ms.size()), "count"},
-        {"ckpt_mb_per_s", pb::median(a.unit_rate) * vm::kCellBytes / 1048576.0, "MiB/s"},
+        {"ckpt_mb_per_s", pb::median(a.rate) * vm::kCellBytes / 1048576.0, "MiB/s"},
         {"recover_s", pb::median(a.recover_ms) * 1e-3, "s"},
         {"stored_bytes_per_commit", per(a.stored_bytes, static_cast<double>(a.commits)), "B"},
     };
@@ -621,40 +820,11 @@ class CkptStream final : public Workload {
         {"ckpt.l1_bytes_per_commit", per(static_cast<double>(s.l1_bytes), commits)},
         {"ckpt.l2_bytes_per_commit", per(static_cast<double>(s.l2_bytes), commits)},
         {"ckpt.l3_bytes_per_commit", per(static_cast<double>(s.l3_bytes), commits)},
-        {"bench.mutate_ms", pb::median(a.mutate_ms)},
+        {"bench.replay_ms", pb::median(a.replay_ms)},
     };
   }
 
  private:
-  /// Dirty ~10% of the cells in contiguous runs of 64-4096 cells, each value
-  /// nudged by a relative change below 1e-6 — a stencil or solver sweep.
-  void mutate() {
-    const std::uint64_t target = total_cells_ / 10;
-    std::uint64_t done = 0;
-    while (done < target) {
-      const std::uint64_t g = rng_.below(total_cells_);
-      std::uint64_t base = 0;
-      const ckpt::ProtectedRegion* r = nullptr;
-      for (const auto& reg : regions_) {
-        const std::uint64_t cells = reg.bytes / vm::kCellBytes;
-        if (g < base + cells) {
-          r = &reg;
-          break;
-        }
-        base += cells;
-      }
-      const std::uint64_t cells = r->bytes / vm::kCellBytes;
-      const std::uint64_t start = g - base;
-      const std::uint64_t len = std::min<std::uint64_t>(64 + rng_.below(4033), cells - start);
-      for (std::uint64_t k = start; k < start + len; ++k) {
-        const std::uint64_t addr = r->addr + k * vm::kCellBytes;
-        const double x = arena_->read(addr).f;
-        arena_->write(addr, trace::Value::make_float(x * (1.0 + (rng_.unit() - 0.5) * 1e-6)));
-      }
-      done += len;
-    }
-  }
-
   /// The benchmark's own copy of the protected state, cell by cell.
   ckpt::CheckpointImage own_snapshot(std::int64_t iteration) const {
     ckpt::CheckpointImage img;
@@ -671,12 +841,72 @@ class CkptStream final : public Workload {
   }
 
   pb::Rng rng_;
-  std::uint64_t total_cells_;
+  bool small_;
+  std::uint64_t target_cells_;
+  std::uint64_t total_cells_ = 0;
   const ScratchDir& dir_;
   std::unique_ptr<vm::Arena> arena_;
   std::vector<ckpt::ProtectedRegion> regions_;
+  std::vector<Replay> replays_;
+  std::uint64_t iteration_ = 0;  // replay position, continued across streams
   ckpt::EngineConfig cfg_;
 };
+
+// ---------------------------------------------------------------------------
+// --calibrate: the recorded traffic, summarized
+// ---------------------------------------------------------------------------
+
+/// Records every app's traffic and prints, per app, what the replay
+/// reproduces: critical variables, protected cells, commits, the share of
+/// cells the engine
+/// captures per delta commit, the share whose bits changed, the share of
+/// changed cells that are floats, their median relative change, and the mean
+/// length of a run of changed cells. The last row weights the apps by cells.
+int calibrate(const Args& a) {
+  const ScratchDir dir(a.work_dir);
+  std::printf("%-8s %4s %7s %7s %7s %7s %7s %9s %7s\n", "app", "vars", "cells", "commits",
+              "dirty", "changed", "float", "drift_p50", "run_len");
+  double all_vars = 0, all_cells = 0, all_dirty = 0, all_changed = 0;
+  for (const apps::App& app : apps::registry()) {
+    const AppTraffic t = record_traffic(app, a.small, dir.file("record"));
+    const double cells = static_cast<double>(t.cells());
+    const double deltas = static_cast<double>(t.states.size() - 1);
+    double dirty = 0, changed = 0, floats = 0, runs = 0;
+    std::vector<double> drift;
+    for (std::size_t k = 1; k < t.states.size(); ++k) {
+      dirty += static_cast<double>(t.captured[k]);
+      for (std::size_t v = 0; v < t.states[k].vars().size(); ++v) {
+        const auto& now = t.states[k].vars()[v].cells;
+        const auto& was = t.states[k - 1].vars()[v].cells;
+        bool in_run = false;
+        for (std::size_t i = 0; i < now.size(); ++i) {
+          const bool diff = !(now[i] == was[i]);
+          runs += diff && !in_run;
+          in_run = diff;
+          if (!diff) continue;
+          ++changed;
+          if (now[i].kind != static_cast<std::uint8_t>(trace::ValueKind::Float)) continue;
+          ++floats;
+          double x = 0, y = 0;
+          std::memcpy(&x, &was[i].payload, sizeof x);
+          std::memcpy(&y, &now[i].payload, sizeof y);
+          if (x != 0) drift.push_back(std::abs(y - x) / std::abs(x));
+        }
+      }
+    }
+    const std::size_t vars = t.states.front().vars().size();
+    std::printf("%-8s %4zu %7.0f %7zu %7.4f %7.4f %7.4f %9.3g %7.1f\n", app.name.c_str(), vars,
+                cells, t.states.size(), dirty / (deltas * cells), changed / (deltas * cells),
+                per(floats, changed), pb::median(drift), per(changed, runs));
+    all_vars += static_cast<double>(vars);
+    all_cells += cells;
+    all_dirty += dirty / deltas;
+    all_changed += changed / deltas;
+  }
+  std::printf("%-8s %4.0f %7.0f %7s %7.4f %7.4f\n", "suite", all_vars, all_cells, "",
+              all_dirty / all_cells, all_changed / all_cells);
+  return 0;
+}
 
 // ---------------------------------------------------------------------------
 // Running a workload
@@ -707,7 +937,7 @@ const std::vector<std::pair<const char*, const char*>>& layer_metric_units() {
       {"ckpt.l1_bytes_per_commit", "B/commit"},
       {"ckpt.l2_bytes_per_commit", "B/commit"},
       {"ckpt.l3_bytes_per_commit", "B/commit"},
-      {"bench.mutate_ms", "ms"},
+      {"bench.replay_ms", "ms"},
       {"unattributed_share", "share"},
       {"trace_overhead_share", "share"},
   };
@@ -738,7 +968,8 @@ Pass run_pass(Workload& w, pb::Tracer& t, double seconds, int units) {
 void usage() {
   std::fprintf(stderr,
                "usage: pipeline_bench --workload paper-text|mctb-reanalyze|ckpt-stream "
-               "--seed N --seconds S --trace 0|1 --work-dir DIR [--spans FILE] [--small]\n");
+               "--seed N --seconds S --trace 0|1 --work-dir DIR [--spans FILE] [--small]\n"
+               "       pipeline_bench --calibrate --work-dir DIR [--small]\n");
 }
 
 bool parse_args(int argc, char** argv, Args& a) {
@@ -748,6 +979,8 @@ bool parse_args(int argc, char** argv, Args& a) {
     const char* v = nullptr;
     if (k == "--small") {
       a.small = true;
+    } else if (k == "--calibrate") {
+      a.calibrate = true;
     } else if (!(v = val())) {
       return false;
     } else if (k == "--workload") {
@@ -766,7 +999,7 @@ bool parse_args(int argc, char** argv, Args& a) {
       return false;
     }
   }
-  return !a.workload.empty() && !a.work_dir.empty() && a.seconds > 0;
+  return (a.calibrate || !a.workload.empty()) && !a.work_dir.empty() && a.seconds > 0;
 }
 
 std::unique_ptr<Workload> make_workload(const Args& a, const ScratchDir& dir) {
@@ -786,10 +1019,10 @@ int run(const Args& a) {
   std::printf("host %s\n", pb::host_fingerprint_json().c_str());
   std::fflush(stdout);
 
-  // Set-up at least 3 times and for at least 0.5 s; the median is setup_s
-  // and the last one is kept. The time floor lets a millisecond set-up
-  // sample more than one phase of the host's speed swings. The traced run
-  // sets up once, with spans (the VM and encoder of mctb-reanalyze run there).
+  // Set-up at least 3 times and for at least 2 s; the median is setup_s and
+  // the last one is kept. The time floor lets a millisecond set-up sample
+  // more than one phase of the host's speed swings. The traced run sets up
+  // once, with spans (the VM of mctb-reanalyze and ckpt-stream runs there).
   pb::Tracer setup_tracer(a.trace);
   std::vector<double> setup_s;
   const std::uint64_t setup0 = pb::now_ns();
@@ -797,7 +1030,7 @@ int run(const Args& a) {
     const std::uint64_t t0 = pb::now_ns();
     w->setup(setup_tracer);
     setup_s.push_back(static_cast<double>(pb::now_ns() - t0) * 1e-9);
-  } while (!a.trace && (setup_s.size() < 3 || pb::now_ns() - setup0 < 500'000'000ull));
+  } while (!a.trace && (setup_s.size() < 3 || pb::now_ns() - setup0 < 2'000'000'000ull));
   pb::reset_peak_rss();
 
   pb::Tracer off(false);
@@ -807,12 +1040,13 @@ int run(const Args& a) {
   Pass traced;
   if (!a.trace) {
     const Acc& acc = plain.acc;
-    const double rss = acc.op_peak_rss_mib > 0 ? acc.op_peak_rss_mib : pb::peak_rss_mib();
+    const double rss = acc.sweep_peak_rss_mib.empty() ? pb::peak_rss_mib()
+                                                      : pb::median(acc.sweep_peak_rss_mib);
     metrics = {
         {"setup_s", pb::median(setup_s), "s"},
         {"peak_rss_mb", rss, "MiB"},
-        {"items_per_s", pb::median(acc.unit_rate), "1/s"},
-        {"op_ms_p50", pb::median(acc.op_ms), "ms"},
+        {"items_per_s", pb::median(acc.rate), "1/s"},
+        {"op_ms", w->op_ms(acc), "ms"},
         {"stored_bytes_per_item", per(acc.stored_bytes, acc.items), "B"},
     };
     std::vector<pb::Metric> detail = w->detail(acc);
@@ -821,9 +1055,16 @@ int run(const Args& a) {
     detail.push_back(
         {"failed_share", per(static_cast<double>(acc.failed), static_cast<double>(acc.attempted)),
          "share"});
-    std::printf("detail {\"workload\": \"%s\", \"seed\": %llu, \"units\": %d, \"metrics\": %s}\n",
-                a.workload.c_str(), static_cast<unsigned long long>(a.seed), acc.units,
-                pb::metrics_json(detail).c_str());
+    std::string line;
+    ac::JsonWriter jw(&line);
+    jw.begin_object()
+        .field("workload", std::string_view(a.workload))
+        .field("seed", a.seed)
+        .field("units", acc.units)
+        .key("metrics");
+    pb::write_metrics(jw, detail);
+    jw.end_object();
+    std::printf("detail %s\n", pb::one_line(line).c_str());
   } else {
     // Same work again with spans on: per-layer figures, span coverage of the
     // wall, and the tracing overhead against the untraced pass.
@@ -850,9 +1091,16 @@ int run(const Args& a) {
 
   const std::uint64_t attempted = plain.acc.attempted + (a.trace ? counted->attempted : 0);
   const std::uint64_t failed = plain.acc.failed + (a.trace ? counted->failed : 0);
-  std::printf("{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, \"metrics\": %s}\n",
-              failed == 0 ? "true" : "false", static_cast<unsigned long long>(attempted),
-              static_cast<unsigned long long>(failed), pb::metrics_json(metrics).c_str());
+  std::string result;
+  ac::JsonWriter jw(&result);
+  jw.begin_object()
+      .field("correct", failed == 0)
+      .field("attempted", attempted)
+      .field("failed", failed)
+      .key("metrics");
+  pb::write_metrics(jw, metrics);
+  jw.end_object();
+  std::printf("%s\n", pb::one_line(result).c_str());
   return 0;
 }
 
@@ -865,7 +1113,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    return run(a);
+    return a.calibrate ? calibrate(a) : run(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pipeline_bench: %s\n", e.what());
     return 1;

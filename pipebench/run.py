@@ -7,6 +7,9 @@ the result object.
 
     python3 pipebench/run.py --workload paper-text --seed 1 --seconds 10 --trace 0
     python3 pipebench/run.py --self-check
+    python3 pipebench/run.py --calibrate
+
+--calibrate prints the per-app checkpoint traffic that ckpt-stream replays.
 
 The build goes to $CARGO_TARGET_DIR/pipebench (default .bench_build/pipebench,
 relative to the checkout root). Traces and checkpoint files live in a per-run
@@ -129,11 +132,12 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=10)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--small", action="store_true", help="apps at default_params, 2 MiB of checkpoint state")
+    ap.add_argument("--small", action="store_true", help="apps at default_params, 256 KiB of checkpoint state")
     ap.add_argument("--self-check", action="store_true")
+    ap.add_argument("--calibrate", action="store_true", help="print the recorded per-app checkpoint traffic")
     args = ap.parse_args()
-    if not args.self_check and not args.workload:
-        ap.error("--workload or --self-check is required")
+    if not (args.self_check or args.calibrate or args.workload):
+        ap.error("--workload, --self-check or --calibrate is required")
 
     bdir = build_dir()
     binary = build(bdir)
@@ -142,6 +146,13 @@ def main():
         return 3
     if args.self_check:
         return self_check(binary, bdir)
+    if args.calibrate:
+        work = os.path.join(bdir, "run-%d" % os.getpid())
+        cmd = [binary, "--calibrate", "--work-dir", work] + (["--small"] if args.small else [])
+        try:
+            return subprocess.call(cmd)
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
     code, _ = run_bench(binary, bdir, args.workload, args.seed, args.seconds, args.trace, args.small)
     return code
 

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -17,6 +16,7 @@
 #endif
 
 #include "support/codec.hpp"
+#include "support/strings.hpp"
 
 #ifndef PIPEBENCH_BUILD_TYPE
 #define PIPEBENCH_BUILD_TYPE "unknown"
@@ -80,12 +80,19 @@ void Tracer::write_jsonl(std::FILE* f, const char* phase) const {
   const std::uint64_t t0 = spans_.empty() ? 0 : spans_.front().start_ns;
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
-    std::fprintf(f,
-                 "{\"phase\":\"%s\",\"id\":%zu,\"parent\":%d,\"layer\":\"%s\",\"req\":\"%s\","
-                 "\"start_ns\":%llu,\"end_ns\":%llu,\"aggregate\":%s}\n",
-                 phase, i, s.parent, s.layer, s.req.c_str(),
-                 static_cast<unsigned long long>(s.start_ns - t0),
-                 static_cast<unsigned long long>(s.end_ns - t0), s.aggregate ? "true" : "false");
+    std::string line;
+    ac::JsonWriter w(&line);
+    w.begin_object()
+        .field("phase", phase)
+        .field("id", static_cast<std::uint64_t>(i))
+        .field("parent", s.parent)
+        .field("layer", s.layer)
+        .field("req", std::string_view(s.req))
+        .field("start_ns", s.start_ns - t0)
+        .field("end_ns", s.end_ns - t0)
+        .field("aggregate", s.aggregate)
+        .end_object();
+    std::fprintf(f, "%s\n", one_line(line).c_str());
   }
 }
 
@@ -96,6 +103,13 @@ double quantile(std::vector<double> v, double q) {
   const auto lo = static_cast<std::size_t>(std::floor(pos));
   const std::size_t hi = std::min(lo + 1, v.size() - 1);
   return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+double geomean(const std::vector<double>& v) {
+  if (v.empty()) return 0;
+  double log_sum = 0;
+  for (const double x : v) log_sum += std::log(x);
+  return std::exp(log_sum / static_cast<double>(v.size()));
 }
 
 namespace {
@@ -134,15 +148,6 @@ void reset_peak_rss() {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
-}
-
 std::string cpu_model() {
 #if defined(__x86_64__) || defined(__i386__)
   unsigned int regs[12] = {};
@@ -180,26 +185,41 @@ std::string host_fingerprint_json() {
   const std::string compiler = "unknown";
 #endif
   const char* no_simd = std::getenv("AC_NO_SIMD");
-  std::ostringstream os;
-  os << "{\"nproc\":" << std::thread::hardware_concurrency() << ",\"cpu_model\":\""
-     << json_escape(cpu_model()) << "\",\"llc_bytes\":" << llc_bytes() << ",\"compiler\":\""
-     << json_escape(compiler) << "\",\"build_type\":\"" << PIPEBENCH_BUILD_TYPE
-     << "\",\"simd_level\":\"" << ac::simd_level_name(ac::active_simd_level())
-     << "\",\"ac_no_simd\":\"" << json_escape(no_simd ? no_simd : "") << "\"}";
-  return os.str();
+  std::string out;
+  ac::JsonWriter w(&out);
+  w.begin_object()
+      .field("nproc", std::thread::hardware_concurrency())
+      .field("cpu_model", std::string_view(cpu_model()))
+      .field("llc_bytes", static_cast<std::int64_t>(llc_bytes()))
+      .field("compiler", std::string_view(compiler))
+      .field("build_type", PIPEBENCH_BUILD_TYPE)
+      .field("simd_level", ac::simd_level_name(ac::active_simd_level()))
+      .field("ac_no_simd", no_simd ? no_simd : "")
+      .end_object();
+  return one_line(out);
 }
 
-std::string metrics_json(const std::vector<Metric>& metrics) {
-  std::string out = "{";
-  char num[64];
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    const double v = std::isfinite(metrics[i].value) ? metrics[i].value : 0.0;
-    std::snprintf(num, sizeof num, "%.17g", v);
-    if (i) out += ", ";
-    out += "\"" + metrics[i].name + "\": {\"value\": " + num + ", \"unit\": \"" +
-           metrics[i].unit + "\"}";
+void write_metrics(ac::JsonWriter& w, const std::vector<Metric>& metrics) {
+  w.begin_object();
+  for (const Metric& m : metrics) {
+    const double v = std::isfinite(m.value) ? m.value : 0.0;
+    w.key(m.name).begin_object().raw_field("value", ac::strf("%.17g", v)).field("unit",
+        std::string_view(m.unit)).end_object();
   }
-  return out + "}";
+  w.end_object();
+}
+
+std::string one_line(const std::string& json) {
+  std::string out;
+  out.reserve(json.size());
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (json[i] != '\n') {
+      out += json[i];
+      continue;
+    }
+    while (i + 1 < json.size() && json[i + 1] == ' ') ++i;
+  }
+  return out;
 }
 
 }  // namespace pipebench

@@ -1,8 +1,9 @@
 // Measurement plumbing for the pipeline benchmark: layer spans kept in
 // memory, a timing wrapper around the VM's trace sink, order statistics,
-// peak-RSS probes, the host fingerprint and JSON output helpers. Nothing here
-// reaches into the library's own telemetry; every number is taken from
-// outside, around calls into a layer's public functions.
+// peak-RSS probes, the host fingerprint and JSON output on top of the
+// library's JsonWriter. Nothing here reaches into the library's own
+// telemetry; every number is taken from outside, around calls into a layer's
+// public functions.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/json.hpp"
 #include "support/timer.hpp"
 #include "trace/writer.hpp"
 
@@ -103,6 +105,8 @@ class TimedSink final : public ac::trace::TraceSink {
 /// Linear-interpolated quantile (q in [0, 1]) of `v`; 0 for an empty set.
 double quantile(std::vector<double> v, double q);
 inline double median(const std::vector<double>& v) { return quantile(v, 0.5); }
+/// Geometric mean of positive values; 0 for an empty set.
+double geomean(const std::vector<double>& v);
 
 /// Peak resident set size of this process in MiB since the last reset.
 double peak_rss_mib();
@@ -148,7 +152,13 @@ struct Metric {
   std::string unit;
 };
 
-/// {"name": {"value": v, "unit": u}, ...} with full precision.
-std::string metrics_json(const std::vector<Metric>& metrics);
+/// Write {"name": {"value": v, "unit": u}, ...} as the next value of `w`,
+/// every number with full precision.
+void write_metrics(ac::JsonWriter& w, const std::vector<Metric>& metrics);
+
+/// A JsonWriter document on one line. Every newline JsonWriter emits is
+/// layout (json_escape escapes those inside strings), so dropping each with
+/// the indentation after it leaves the same document.
+std::string one_line(const std::string& json);
 
 }  // namespace pipebench
