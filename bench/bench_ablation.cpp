@@ -62,10 +62,9 @@ int main() {
         apps::analyze_app_via_file(app, params, "/tmp/ac_ablation_cg.trace");
     const double file_s = t.seconds();
 
-    // Ablate only the §V-A parallel read (read_threads, not threads, so the
-    // sharded classification stays off and the variants differ in one knob).
+    // Ablate only the §V-A parallel read.
     analysis::AnalysisOptions par;
-    par.read_threads = analysis::default_thread_count();
+    par.threads = analysis::default_thread_count();
     t.reset();
     const apps::FileAnalysisRun file_parallel =
         apps::analyze_app_via_file(app, params, "/tmp/ac_ablation_cg_p.trace", par);

@@ -1,9 +1,8 @@
 // Analysis micro/throughput benchmark for the interned trace representation:
 // legacy (owning TraceRecord) parse vs the zero-copy TraceBuffer parse
 // (serial and parallel), end-to-end analysis on both representations, and
-// the sharded classification with LPT event-balanced shards — plus exact
-// representation-byte accounting and subprocess peak-RSS probes on the
-// largest selected trace.
+// classification alone — plus exact representation-byte accounting and
+// subprocess peak-RSS probes on the largest selected trace.
 //
 //   bench_micro [--smoke] [--scale N] [--json PATH] [--check BASELINE.json]
 //
@@ -28,7 +27,7 @@
 //           (Chrome-trace JSON / metrics JSON).
 //
 // Verdicts are asserted bit-identical between the legacy-records path, the
-// buffer path, and the sharded buffer path on every measured app.
+// buffer path, and the MCTB-decoded buffer path on every measured app.
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -90,8 +89,6 @@ struct AppBench {
   double legacy_analyze_s = 0;  // records-path Session (conversion + analysis)
   double buffer_analyze_s = 0;  // buffer-path Session
   double classify_s = 0;
-  double classify_sharded_s = 0;
-  double classify_pipelined_s = 0;
   std::uint64_t legacy_bytes = 0;
   std::uint64_t buffer_bytes = 0;
   std::uint64_t mctb_bytes = 0;   // MCTB container size (rle+lz sections)
@@ -259,28 +256,19 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
     buffer_report = analysis::Session().source(source).region(region).options(opts).run();
   });
 
-  // Classification alone, sequential vs LPT-sharded on 4 workers.
+  // Classification alone.
   auto pre = analysis::preprocess(buf, region);
   analysis::DepOptions dopts;
   dopts.build_ddg = false;
   auto dep = analysis::dep_analysis(buf, pre, region, dopts);
-  analysis::ClassifyResult seq_verdicts, shard_verdicts, pipe_verdicts;
-  out.classify_s = best_of([&] { seq_verdicts = analysis::classify(dep, pre); });
-  out.classify_sharded_s =
-      best_of([&] { shard_verdicts = analysis::classify_sharded(dep, pre, 4); });
-  out.classify_pipelined_s =
-      best_of([&] { pipe_verdicts = analysis::classify_pipelined(dep, pre, 4); });
+  out.classify_s = best_of([&] { (void)analysis::classify(dep, pre); });
 
   // The MCTB-decoded buffer must produce bit-identical verdicts too.
   analysis::Report mctb_report =
       analysis::Session().buffer(std::move(mctb_buf)).region(region).options(opts).run();
 
   if (!verdicts_equal(legacy_report, buffer_report) ||
-      !verdicts_equal(buffer_report, mctb_report) ||
-      seq_verdicts.critical != shard_verdicts.critical ||
-      seq_verdicts.all_mli != shard_verdicts.all_mli ||
-      seq_verdicts.critical != pipe_verdicts.critical ||
-      seq_verdicts.all_mli != pipe_verdicts.all_mli) {
+      !verdicts_equal(buffer_report, mctb_report)) {
     std::fprintf(stderr, "bench_micro: VERDICT MISMATCH on %s\n", app.name.c_str());
     std::exit(1);
   }
@@ -335,8 +323,6 @@ void app_json(JsonWriter& w, const AppBench& r) {
   w.raw_field("legacy_analyze_ns", strf("%.0f", r.legacy_analyze_s * 1e9));
   w.raw_field("buffer_analyze_ns", strf("%.0f", r.buffer_analyze_s * 1e9));
   w.raw_field("classify_ns", strf("%.0f", r.classify_s * 1e9));
-  w.raw_field("classify_sharded_ns", strf("%.0f", r.classify_sharded_s * 1e9));
-  w.raw_field("classify_pipelined_ns", strf("%.0f", r.classify_pipelined_s * 1e9));
   w.field("legacy_rep_bytes", r.legacy_bytes);
   w.field("buffer_rep_bytes", r.buffer_bytes);
   w.field("peak_rss_legacy_kb", r.rss_legacy_kb);
@@ -431,7 +417,7 @@ bool telemetry_overhead_ok(const apps::App& app, const apps::Params& params) {
     analysis::DepOptions dopts;
     dopts.build_ddg = false;
     auto dep = analysis::dep_analysis(buf, pre, region, dopts);
-    (void)analysis::classify_sharded(dep, pre, 4);
+    (void)analysis::classify(dep, pre);
   };
 
   tel.reset();
@@ -674,9 +660,7 @@ int main(int argc, char** argv) {
                                        (double)big.rss_mctb_buffered_kb));
       }
     }
-    std::printf("Classify sequential %.4fs vs LPT-sharded(4) %.4fs vs pipelined(4) %.4fs "
-                "on %s\n\n", big.classify_s, big.classify_sharded_s, big.classify_pipelined_s,
-                big.app.c_str());
+    std::printf("Classify %.4fs on %s\n\n", big.classify_s, big.app.c_str());
     groups.emplace_back(sc, std::move(results));
   }
   const std::vector<AppBench>& results = groups[0].second;

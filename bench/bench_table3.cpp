@@ -38,8 +38,7 @@ int main() {
       serial.dep_analysis += rep.timings.dep_analysis / kRuns;
       serial.identify += rep.timings.identify / kRuns;
 
-      // threads > 1 parallelizes both the trace read (the paper's OpenMP
-      // column) and the Session's sharded classification.
+      // threads > 1 parallelizes the trace read (the paper's OpenMP column).
       opts.threads = analysis::default_thread_count();
       auto rep_p = analysis::Session().file(trace_path).region(region).options(opts).run();
       parallel.preprocessing += rep_p.timings.preprocessing / kRuns;

@@ -66,8 +66,7 @@ int main() {
   //    source markers here; in general the user supplies the host function
   //    and start/end line numbers. The same Session accepts a .file() trace,
   //    legacy .records(), or a .live() execution, and
-  //    options({.threads = N}) parallelizes both the read and the
-  //    classification stage.
+  //    options({.threads = N}) parallelizes a .file() trace read.
   const ac::analysis::Report report = ac::analysis::Session()
                                           .buffer(trace.take())
                                           .region_from_markers(source)

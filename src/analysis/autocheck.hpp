@@ -5,7 +5,7 @@
 // The entry points below are thin wrappers over the unified pipeline in
 // analysis/session.hpp (Session + TraceSource + ReportSink); new code should
 // use Session directly — it adds pluggable sources/sinks and the parallel
-// sharded classification behind AnalysisOptions::threads.
+// trace read behind AnalysisOptions::threads.
 #pragma once
 
 #include <string>

@@ -1,14 +1,9 @@
 #include "analysis/classify.hpp"
 
-#include "support/error.hpp"
-#include "support/executor.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
 
-#include <algorithm>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <tuple>
 #include <set>
 #include <unordered_map>
@@ -38,40 +33,29 @@ struct VarVerdict {
   std::string outcome_reason;
 };
 
-/// Pass-1 state: per variable, which elements each iteration writes (Part B
-/// only), so the RAPO test can ask "is this element refreshed by the current
-/// iteration at all?" without caring about intra-iteration ordering. Built
-/// incrementally so the pipelined path can fold events in as extraction
-/// delivers them.
-struct WriteSets {
+/// The two-pass dataflow scan over the whole event stream. Every piece of
+/// state is keyed by variable, so each variable's verdict depends only on its
+/// own events, in execution order.
+std::unordered_map<int, VarVerdict> scan_events(const std::vector<AccessEvent>& events) {
+  // Pass 1: per variable, which elements each iteration writes (Part B only),
+  // so the RAPO test can ask "is this element refreshed by the current
+  // iteration at all?" without caring about intra-iteration ordering.
   std::unordered_map<int, std::map<int, std::set<std::int64_t>>> written_by_iter;
   std::unordered_set<int> written_in_b;
-
-  void add(const AccessEvent& ev) {
+  for (const AccessEvent& ev : events) {
     if (ev.part == Part::B && ev.is_write) {
       written_by_iter[ev.var][ev.iteration].insert(ev.elem);
       written_in_b.insert(ev.var);
     }
   }
-};
 
-/// Pass 2: the stale-consumption scan over a variable-complete subset of the
-/// event stream, with `ws` built from exactly the same events. Every piece of
-/// state is keyed by variable, so running it over any variable-complete
-/// subset (all events of each contained variable, in execution order) yields
-/// exactly the verdicts the full-stream scan assigns those variables — the
-/// invariant both parallel paths rely on.
-std::unordered_map<int, VarVerdict> scan_pass2(const AccessEvent* events, std::size_t count,
-                                               WriteSets& ws) {
-  auto& written_by_iter = ws.written_by_iter;
-  auto& written_in_b = ws.written_in_b;
+  // Pass 2: the stale-consumption scan.
   std::unordered_map<int, VarVerdict> verdicts;
   std::unordered_map<int, std::unordered_map<std::int64_t, int>> last_write_iter;  // Part B writes
   std::unordered_map<int, int> cur_iter_of_var;
   std::unordered_map<int, int> writes_so_far;  // within the variable's current iteration
 
-  for (std::size_t i = 0; i < count; ++i) {
-    const AccessEvent& ev = events[i];
+  for (const AccessEvent& ev : events) {
     VarVerdict& v = verdicts[ev.var];
 
     if (ev.part == Part::C) {
@@ -123,33 +107,6 @@ std::unordered_map<int, VarVerdict> scan_pass2(const AccessEvent* events, std::s
   }
   return verdicts;
 }
-
-/// The two-pass dataflow scan over a (sub)stream held in one contiguous span.
-std::unordered_map<int, VarVerdict> scan_events(const AccessEvent* events, std::size_t count) {
-  WriteSets ws;
-  for (std::size_t i = 0; i < count; ++i) ws.add(events[i]);
-  return scan_pass2(events, count, ws);
-}
-
-/// Incremental per-shard scanner for the pipelined path: extraction delivers
-/// event slices in execution order; pass-1 state folds in immediately
-/// (overlapping with extraction still running), pass 2 runs at finish() over
-/// the accumulated stream — the same two passes scan_events runs, so verdicts
-/// are identical by construction.
-class ShardScanner {
- public:
-  void add(const AccessEvent* events, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) ws_.add(events[i]);
-    events_.insert(events_.end(), events, events + count);
-  }
-  std::unordered_map<int, VarVerdict> finish() {
-    return scan_pass2(events_.data(), events_.size(), ws_);
-  }
-
- private:
-  WriteSets ws_;
-  std::vector<AccessEvent> events_;
-};
 
 /// Deterministic assembly of the final verdict list from the per-variable
 /// scan results: MLI discovery order with Index-only variables appended.
@@ -207,252 +164,13 @@ ClassifyResult assemble(const std::unordered_map<int, VarVerdict>& verdicts,
   return out;
 }
 
-/// Events delivered to a shard scanner (the serial scan counts as one shard).
-/// Summed across shards this equals the stream's event count exactly — the
-/// invariant the telemetry tests pin against ground truth.
-void note_shard_events(std::size_t n) {
-  static auto& c = telemetry::metrics().counter("classify.shard_events");
-  c.add(n);
-}
-
 }  // namespace
 
 ClassifyResult classify(const DepResult& dep, const PreprocessResult& pre) {
   AC_SPAN("classify.scan");
-  note_shard_events(dep.events.size());
-  return assemble(scan_events(dep.events.data(), dep.events.size()), dep, pre);
-}
-
-std::vector<int> lpt_shard_assignment(const std::vector<std::pair<int, std::uint64_t>>& counts,
-                                      int nshards) {
-  std::vector<int> assignment(counts.size(), 0);
-  if (nshards <= 1) return assignment;
-
-  // Sort by descending event count, ties by ascending var id — deterministic
-  // regardless of the order counts were gathered in.
-  std::vector<std::size_t> order(counts.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (counts[a].second != counts[b].second) return counts[a].second > counts[b].second;
-    return counts[a].first < counts[b].first;
-  });
-
-  std::vector<std::uint64_t> load(static_cast<std::size_t>(nshards), 0);
-  for (const std::size_t i : order) {
-    std::size_t lightest = 0;
-    for (std::size_t s = 1; s < load.size(); ++s) {
-      if (load[s] < load[lightest]) lightest = s;
-    }
-    assignment[i] = static_cast<int>(lightest);
-    load[lightest] += counts[i].second;
-  }
-  return assignment;
-}
-
-namespace {
-
-/// Flat var -> shard table from the LPT assignment over per-variable event
-/// totals (the skewed apps put nearly every event on one hot array, so
-/// `var % threads` used to hand one worker the whole stream). Var ids are
-/// dense small ints, so the counting and the table are flat arrays — workers
-/// index, they don't hash. -1 for vars with no events.
-std::vector<int> shard_of_vars(const std::vector<AccessEvent>& events, int nshards) {
-  std::size_t max_var = 0;
-  for (const AccessEvent& ev : events) {
-    max_var = std::max(max_var, static_cast<std::size_t>(ev.var));
-  }
-  std::vector<std::uint64_t> totals(max_var + 1, 0);
-  for (const AccessEvent& ev : events) ++totals[static_cast<std::size_t>(ev.var)];
-  std::vector<std::pair<int, std::uint64_t>> counts;
-  for (std::size_t var = 0; var <= max_var; ++var) {
-    if (totals[var]) counts.emplace_back(static_cast<int>(var), totals[var]);
-  }
-  const std::vector<int> assignment = lpt_shard_assignment(counts, nshards);
-  std::vector<int> shard_of(max_var + 1, -1);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    shard_of[static_cast<std::size_t>(counts[i].first)] = assignment[i];
-  }
-  return shard_of;
-}
-
-/// The shared thread-count clamp: more shards than MLI variables only
-/// produces empty shards, and an unbounded user-supplied count must not
-/// translate into thousands of threads.
-int clamp_threads(int threads, const PreprocessResult& pre) {
-  return std::min({threads, 256, std::max<int>(1, static_cast<int>(pre.mli.size()))});
-}
-
-}  // namespace
-
-ClassifyResult classify_sharded(const DepResult& dep, const PreprocessResult& pre, int threads) {
-  threads = clamp_threads(threads, pre);
-  if (threads <= 1 || dep.events.empty()) return classify(dep, pre);
-
-  const std::vector<int> shard_of = shard_of_vars(dep.events, threads);
-  const std::size_t nshards = static_cast<std::size_t>(threads);
-  std::vector<std::vector<AccessEvent>> shards(nshards);
-  std::vector<std::unordered_map<int, VarVerdict>> partial(nshards);
-  FailState fail;
-  {
-    // WorkerGroup joins whatever got started even when a later pthread_create
-    // fails, and traps worker exceptions into the FailState — a bad_alloc in
-    // a shard used to escape the thread and terminate the process.
-    WorkerGroup pool(fail);
-    // The per-variable event extraction fans out onto the same pool (the
-    // ROADMAP's "parallelize dep-analysis" follow-up: the replay is
-    // sequential by nature, but the extraction is a data-parallel sweep):
-    // every worker scans the shared event array once, keeping the events of
-    // its own shard's variables in execution order, then scans its shard.
-    for (std::size_t s = 0; s < nshards; ++s) {
-      pool.spawn([&, s] {
-        if (fail.cancelled()) return;
-        std::vector<AccessEvent>& mine = shards[s];
-        {
-          AC_SPAN("classify.extract");
-          for (const AccessEvent& ev : dep.events) {
-            if (static_cast<std::size_t>(shard_of[static_cast<std::size_t>(ev.var)]) == s) {
-              mine.push_back(ev);
-            }
-          }
-        }
-        AC_SPAN("classify.scan_shard");
-        note_shard_events(mine.size());
-        partial[s] = scan_events(mine.data(), mine.size());
-      });
-    }
-  }
-  fail.rethrow_if_failed();
-
-  // Shards own disjoint variable sets, so the merge is a plain union; the
-  // deterministic ordering comes from assemble(), not from merge order.
-  std::unordered_map<int, VarVerdict> verdicts;
-  for (auto& p : partial) {
-    for (auto& [var, v] : p) verdicts.emplace(var, std::move(v));
-  }
-  return assemble(verdicts, dep, pre);
-}
-
-ClassifyResult classify_pipelined(const DepResult& dep, const PreprocessResult& pre,
-                                  int threads) {
-  threads = clamp_threads(threads, pre);
-  if (threads <= 1 || dep.events.empty()) return classify(dep, pre);
-
-  // Split the caller's budget between the two stages (extractors + scanners
-  // == threads, never 2x it): extraction is one cheap routing sweep, the
-  // scans are the heavy stage, so a quarter of the budget routes and the
-  // rest scans.
-  const std::size_t nextract = std::max<std::size_t>(1, static_cast<std::size_t>(threads) / 4);
-  const std::size_t nshards =
-      std::max<std::size_t>(1, static_cast<std::size_t>(threads) - nextract);
-
-  const std::vector<int> shard_of = shard_of_vars(dep.events, static_cast<int>(nshards));
-  const std::size_t nevents = dep.events.size();
-  const std::size_t chunk = std::max<std::size_t>(std::size_t{4096},
-                                                  nevents / (nshards * 8) + 1);
-  const std::size_t nchunks = (nevents + chunk - 1) / chunk;
-
-  // Per-shard mailbox: extraction workers deliver the shard's slice of each
-  // event chunk (possibly empty) as the chunk is swept; the shard's scanner
-  // consumes slices strictly in chunk order, preserving execution order.
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::vector<AccessEvent>> slices;
-    std::vector<char> ready;
-  };
-  std::vector<Mailbox> boxes(nshards);
-  for (auto& b : boxes) {
-    b.slices.resize(nchunks);
-    b.ready.assign(nchunks, 0);
-  }
-
-  std::vector<std::unordered_map<int, VarVerdict>> partial(nshards);
-
-  // Both stages share one FailState: a failure anywhere cancels extraction
-  // (run_chunks stops handing out chunks) and every scanner (mailbox waits
-  // also wake on the cancellation flag), and exactly one exception — with its
-  // original type and message — survives to the rethrow below. The old
-  // mailboxes stashed e.what() in a string and rethrew everything as
-  // AnalysisError, so a worker bad_alloc came back relabelled.
-  FailState fail;
-  {
-    // Scanners fold slices into the incremental two-pass scan as they
-    // arrive — pass-1 accumulation overlaps with extraction still sweeping
-    // later chunks. WorkerGroup traps scanner exceptions into `fail`.
-    WorkerGroup scanners(fail);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      scanners.spawn([&, s] {
-        // The span covers mailbox waits too, so scanner stalls (extraction
-        // backpressure) are visible as long scan_shard spans in the profile.
-        AC_SPAN("classify.scan_shard");
-        static auto& depth = telemetry::metrics().gauge("classify.mailbox_depth");
-        ShardScanner scan;
-        Mailbox& box = boxes[s];
-        std::size_t events_seen = 0;
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          std::vector<AccessEvent> slice;
-          {
-            std::unique_lock<std::mutex> lock(box.mu);
-            box.cv.wait(lock, [&] { return box.ready[c] != 0 || fail.cancelled(); });
-            if (fail.cancelled()) return;  // hole in the mailbox: region aborted
-            slice = std::move(box.slices[c]);
-          }
-          depth.add(-1);
-          events_seen += slice.size();
-          scan.add(slice.data(), slice.size());
-        }
-        note_shard_events(events_seen);
-        partial[s] = scan.finish();
-      });
-    }
-
-    // Extraction: the executor's workers claim event chunks, sweep each once
-    // routing events to their variables' shards, and deliver the slices. One
-    // sweep of the event array total, not one per shard — and no barrier
-    // before scanning starts. The shared FailState means a failed chunk stops
-    // extraction without throwing here (scanners still need the wakeup).
-    ExecutorOptions eopts;
-    eopts.threads = static_cast<int>(nextract);
-    run_chunks(
-        nchunks, eopts,
-        [&](std::size_t c) {
-          AC_SPAN("classify.extract_chunk");
-          const std::size_t begin = c * chunk;
-          const std::size_t end = std::min(nevents, begin + chunk);
-          std::vector<std::vector<AccessEvent>> local(nshards);
-          for (std::size_t i = begin; i < end; ++i) {
-            const AccessEvent& ev = dep.events[i];
-            local[static_cast<std::size_t>(shard_of[static_cast<std::size_t>(ev.var)])]
-                .push_back(ev);
-          }
-          static auto& depth = telemetry::metrics().gauge("classify.mailbox_depth");
-          for (std::size_t s = 0; s < nshards; ++s) {
-            {
-              std::lock_guard<std::mutex> lock(boxes[s].mu);
-              boxes[s].slices[c] = std::move(local[s]);
-              boxes[s].ready[c] = 1;
-            }
-            depth.add(1);  // delivered, not yet consumed (max = peak backlog)
-            boxes[s].cv.notify_all();
-          }
-        },
-        /*on_ready=*/{}, &fail);
-
-    // Extraction is done (or cancelled): wake scanners parked on mailboxes so
-    // they observe either their final slices or the cancellation flag. The
-    // empty critical section orders the wake after any in-flight delivery.
-    for (auto& b : boxes) {
-      { std::lock_guard<std::mutex> lock(b.mu); }
-      b.cv.notify_all();
-    }
-  }
-  fail.rethrow_if_failed();
-
-  std::unordered_map<int, VarVerdict> verdicts;
-  for (auto& p : partial) {
-    for (auto& [var, v] : p) verdicts.emplace(var, std::move(v));
-  }
-  return assemble(verdicts, dep, pre);
+  static auto& events = telemetry::metrics().counter("classify.events");
+  events.add(dep.events.size());
+  return assemble(scan_events(dep.events), dep, pre);
 }
 
 }  // namespace ac::analysis

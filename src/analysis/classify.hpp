@@ -51,40 +51,4 @@ struct ClassifyResult {
 
 ClassifyResult classify(const DepResult& dep, const PreprocessResult& pre);
 
-/// Parallel sharded classification: the per-variable event streams are
-/// independent (every map the scan keeps is keyed by variable), so the event
-/// stream is partitioned per variable into `threads` shards, the shards are
-/// scanned concurrently, and the per-variable verdicts are merged back in MLI
-/// discovery order. Bit-identical to classify() by construction — same scan
-/// per variable, same deterministic assembly. `threads` <= 1 is the
-/// sequential path.
-///
-/// Shards are assigned by event-count balance (LPT over per-variable event
-/// totals, see lpt_shard_assignment), and the per-variable event extraction
-/// itself fans out onto the same worker pool: each worker sweeps the shared
-/// event array once and keeps its own shard's variables, so a skewed app
-/// (one hot array) no longer serializes both the extraction and the scan.
-ClassifyResult classify_sharded(const DepResult& dep, const PreprocessResult& pre, int threads);
-
-/// Pipelined producer/consumer variant of classify_sharded — what the Session
-/// runs. Instead of every worker sweeping the whole event array (N full
-/// sweeps, then a barrier before scanning), extraction workers sweep disjoint
-/// event chunks once, routing each chunk's events to per-shard mailboxes, and
-/// the per-shard scanners consume slices in chunk order as they arrive —
-/// pass-1 accumulation overlaps extraction; no barrier between the stages.
-/// Verdicts are bit-identical to classify() and classify_sharded() by
-/// construction (same per-variable two-pass scan over the same in-order
-/// stream) and pinned by tests. `threads` <= 1 is the sequential path.
-ClassifyResult classify_pipelined(const DepResult& dep, const PreprocessResult& pre, int threads);
-
-/// Longest-processing-time assignment of variables to shards: variables
-/// sorted by descending event count (ties by ascending var id) each go to the
-/// currently lightest shard (ties to the lowest shard index) — deterministic,
-/// and within 4/3 of the optimal makespan. `loads[i]` of the returned
-/// assignment is the shard index of `counts[i].first`. Exposed for tests and
-/// benchmarks.
-///   counts: (var id, event count) pairs; nshards >= 1.
-std::vector<int> lpt_shard_assignment(const std::vector<std::pair<int, std::uint64_t>>& counts,
-                                      int nshards);
-
 }  // namespace ac::analysis

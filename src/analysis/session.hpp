@@ -10,12 +10,8 @@
 // replacing the four parallel entry surfaces that grew around the facade
 // (analyze_records / analyze_file / StreamingAutoCheck / hand-rolled
 // read-then-analyze loops). Every capability is available from every source:
-// the §V-A parallel trace read, the §IX trace-file-free streaming mode, and
-// the parallel classification this module adds — the event stream is
-// partitioned per variable after dependency analysis and classified
-// concurrently (the pipelined producer/consumer path, classify_pipelined:
-// extraction chunks stream into per-shard scanners with no barrier), with
-// verdicts bit-identical to the sequential path.
+// the §V-A parallel trace read and the §IX trace-file-free streaming mode.
+// Classification is the paper's single linear scan (classify()) on every path.
 //
 // The legacy entry points are thin wrappers over Session; new code should use
 // Session directly:
@@ -44,31 +40,21 @@ class CheckpointEngine;
 namespace ac::analysis {
 
 /// Pipeline configuration, subsuming the legacy AutoCheckOptions (which
-/// converts implicitly via its operator AnalysisOptions). One knob drives all
-/// parallelism: `threads > 1` alone enables both the parallel trace read and
-/// the sharded parallel classification; the per-stage overrides exist for
-/// asymmetric budgets. An aggregate, so designated initializers work:
-/// `options({.threads = 4})`.
+/// converts implicitly via its operator AnalysisOptions). An aggregate, so
+/// designated initializers work: `options({.threads = 4})`.
 struct AnalysisOptions {
   MliMode mli_mode = MliMode::AddressResolved;
   bool build_ddg = true;
 
-  /// Worker budget for the whole pipeline. 1 = fully sequential.
+  /// Worker count for the §V-A parallel trace read (file sources). 1 = serial
+  /// read. The analysis itself is sequential.
   int threads = 1;
-  /// Per-stage overrides; 0 = follow `threads`.
-  int read_threads = 0;
-  int analysis_threads = 0;
 
   /// Enable the process-wide telemetry layer (support/telemetry.hpp) for this
   /// run: Session::run() turns span recording on before the pipeline and
   /// leaves it on so the caller can export (--profile/--metrics). Off, every
   /// AC_SPAN in the pipeline is a single relaxed atomic load.
   bool telemetry = false;
-
-  int effective_read_threads() const { return read_threads > 0 ? read_threads : threads; }
-  int effective_analysis_threads() const {
-    return analysis_threads > 0 ? analysis_threads : threads;
-  }
 };
 
 /// Runtime default worker count (hardware concurrency, at least 1).
@@ -205,7 +191,7 @@ class Session {
   const AnalysisOptions& analysis_options() const { return opts_; }
 
   /// Run the pipeline: read -> preprocess/MLI -> dependency analysis ->
-  /// (sharded) classification -> sinks. Live sources run the two-pass
+  /// classification -> sinks. Live sources run the two-pass
   /// streaming pipeline; batch sources the single-pass one. Throws ac::Error
   /// when no source is set or the region is invalid.
   Report run();
@@ -240,7 +226,7 @@ class SessionStream {
   /// Throws if pass 1 was not finished.
   void pass2_add(const trace::TraceRecord& rec);
 
-  /// Classification (sharded per options) + DDG contraction; returns the
+  /// Classification + DDG contraction; returns the
   /// same Report as the batch pipeline on the materialized trace.
   Report finish();
 

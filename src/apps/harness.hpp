@@ -20,8 +20,8 @@ namespace ac::apps {
 
 /// Compile + trace + analyze one benchmark instance. All three analyze_*
 /// flavors run the analysis::Session pipeline — over a MemorySource, a
-/// LiveSource, or a FileSource respectively — so every capability
-/// (AnalysisOptions::threads parallelism included) is available from each.
+/// LiveSource, or a FileSource respectively — so every AnalysisOptions
+/// setting applies to each.
 /// Legacy AutoCheckOptions convert implicitly at every opts parameter.
 struct AnalysisRun {
   ir::Module module;

@@ -25,11 +25,12 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: harness <APP|all> [options]\n"
-               "  --analyze            analysis-only profile: trace + sequential vs sharded\n"
-               "                       classification (verdicts must be bit-identical)\n"
+               "  --analyze            analysis-only profile: trace + analyze each app once\n"
+               "                       and print the per-phase timings\n"
                "  --scale N            multiply each app's iteration knobs by N (with\n"
                "                       --analyze; default 1 = Table II laptop scale)\n"
-               "  --threads T          worker budget for the sharded run (default 4)\n"
+               "  --threads T          trace-read workers for --trace-format and --profile\n"
+               "                       (default 4)\n"
                "  --trace-format F     with --analyze: route the trace through a file in\n"
                "                       format F (text | mctb) and read it back — verdicts\n"
                "                       must match the in-memory run bit-for-bit\n"
@@ -48,8 +49,8 @@ int usage() {
                "  --profile OUT.json   record telemetry spans, write a Chrome trace-event\n"
                "                       profile (load in chrome://tracing or Perfetto); with\n"
                "                       --analyze, runs the full profiled pipeline (parse,\n"
-               "                       codec, classify, checkpoint) instead of the verdict\n"
-               "                       identity table\n"
+               "                       codec, classify, checkpoint) instead of the timing\n"
+               "                       table\n"
                "  --metrics OUT.json   write the flat metrics registry JSON\n"
                "apps: all");
   for (const auto& app : ac::apps::registry()) std::fprintf(stderr, ", %s", app.name.c_str());
@@ -100,37 +101,25 @@ void parse_codec_spec(ac::ckpt::EngineConfig& cfg, const std::string& spec) {
 }
 
 /// The `--scale` workload profile: compile each app at its Table II knobs
-/// with the iteration knobs multiplied by `scale`, trace it, and run the
-/// analysis twice — sequential and sharded onto `threads` workers. The two
-/// verdict sets must be bit-identical; timings show the speedup on
-/// bigger-than-seed inputs.
-int run_analyze(const std::vector<ac::apps::App>& apps, int scale, int threads) {
-  std::printf("=== analysis profile: --scale %d (Table II iteration knobs x%d), "
-              "%d worker(s) ===\n\n", scale, scale, threads);
-  ac::TextTable table({"App", "Records", "MLI", "#Crit", "Pre s", "Dep s", "Id s", "Id(x1) s",
-                       "Verdicts"});
+/// with the iteration knobs multiplied by `scale`, trace it, and analyze it
+/// once, printing the per-phase timings on bigger-than-seed inputs.
+int run_analyze(const std::vector<ac::apps::App>& apps, int scale) {
+  std::printf("=== analysis profile: --scale %d (Table II iteration knobs x%d) ===\n\n",
+              scale, scale);
+  ac::TextTable table({"App", "Records", "MLI", "#Crit", "Pre s", "Dep s", "Id s"});
   int failures = 0;
   for (const auto& app : apps) {
     try {
       const ac::apps::Params params = app.scaled_params(app.table2_params, scale);
-      ac::analysis::AnalysisOptions seq;
-      seq.build_ddg = false;
-      const ac::apps::AnalysisRun serial = ac::apps::analyze_app(app, params, seq);
-      ac::analysis::AnalysisOptions par = seq;
-      par.threads = threads;
-      const ac::apps::AnalysisRun sharded = ac::apps::analyze_app(app, params, par);
-      const bool match =
-          serial.report.verdicts.critical == sharded.report.verdicts.critical &&
-          serial.report.verdicts.all_mli == sharded.report.verdicts.all_mli;
-      if (!match) ++failures;
-      table.add_row({app.name, ac::strf("%llu", (unsigned long long)sharded.trace_records),
-                     ac::strf("%zu", sharded.report.pre.mli.size()),
-                     ac::strf("%zu", sharded.report.verdicts.critical.size()),
-                     ac::strf("%.3f", sharded.report.timings.preprocessing),
-                     ac::strf("%.3f", sharded.report.timings.dep_analysis),
-                     ac::strf("%.3f", sharded.report.timings.identify),
-                     ac::strf("%.3f", serial.report.timings.identify),
-                     match ? "MATCH" : "DIVERGED"});
+      ac::analysis::AnalysisOptions opts;
+      opts.build_ddg = false;
+      const ac::apps::AnalysisRun run = ac::apps::analyze_app(app, params, opts);
+      table.add_row({app.name, ac::strf("%llu", (unsigned long long)run.trace_records),
+                     ac::strf("%zu", run.report.pre.mli.size()),
+                     ac::strf("%zu", run.report.verdicts.critical.size()),
+                     ac::strf("%.3f", run.report.timings.preprocessing),
+                     ac::strf("%.3f", run.report.timings.dep_analysis),
+                     ac::strf("%.3f", run.report.timings.identify)});
     } catch (const std::exception& e) {
       ++failures;
       std::fprintf(stderr, "harness: %s: %s\n", app.name.c_str(), e.what());
@@ -138,18 +127,17 @@ int run_analyze(const std::vector<ac::apps::App>& apps, int scale, int threads) 
   }
   std::printf("%s\n", table.render().c_str());
   if (failures) {
-    std::printf("%d app(s) FAILED (sharded verdicts diverged or analysis threw)\n", failures);
+    std::printf("%d app(s) FAILED (analysis threw)\n", failures);
     return 1;
   }
-  std::printf("all %zu app(s): sharded verdicts bit-identical to sequential at scale %d\n",
-              apps.size(), scale);
+  std::printf("all %zu app(s) analyzed at scale %d\n", apps.size(), scale);
   return 0;
 }
 
-/// The `--analyze --trace-format F` profile: same verdict-identity check as
-/// run_analyze, but the trace goes through a file in the chosen on-disk
-/// format and is read back through the auto-detecting FileSource — the
-/// paper's file-based workflow, now measurable per format.
+/// The `--analyze --trace-format F` profile: the trace goes through a file in
+/// the chosen on-disk format and is read back through the auto-detecting
+/// FileSource — the paper's file-based workflow, measurable per format — and
+/// the verdicts must match the in-memory run bit-for-bit.
 int run_analyze_file(const std::vector<ac::apps::App>& apps, int scale, int threads,
                      ac::trace::TraceFormat format) {
   std::printf("=== analysis profile via %s trace files: --scale %d, %d worker(s) ===\n\n",
@@ -195,10 +183,10 @@ int run_analyze_file(const std::vector<ac::apps::App>& apps, int scale, int thre
 
 /// The `--analyze --profile/--metrics` flow: one end-to-end pass per app that
 /// exercises every instrumented layer — VM trace generation, text-trace file
-/// parse (serial or parallel), MCTB encode + decode, threaded classification,
-/// and an engine-backed C/R round — then exports whatever the span rings and
+/// parse (serial or parallel), MCTB encode + decode, classification, and an
+/// engine-backed C/R round — then exports whatever the span rings and
 /// the registry recorded. Unlike run_analyze, this path optimizes for profile
-/// coverage, not for the verdict-identity table.
+/// coverage, not for the timing table.
 int run_profile(const std::vector<ac::apps::App>& apps, int scale, int threads,
                 const ac::ckpt::EngineConfig& cfg, int fail_at) {
   namespace tel = ac::telemetry;
@@ -214,7 +202,7 @@ int run_profile(const std::vector<ac::apps::App>& apps, int scale, int threads,
     opts.threads = threads;
     opts.telemetry = true;
 
-    // VM trace -> text file -> (parallel) parse -> threaded classify.
+    // VM trace -> text file -> (parallel) parse -> classify.
     const std::string text_path = "/tmp/ac_profile_" + app.name + ".text";
     const ac::apps::FileAnalysisRun text_run = ac::apps::analyze_app_via_file(
         app, params, text_path, opts, ac::trace::TraceFormat::Text);
@@ -392,7 +380,7 @@ int main(int argc, char** argv) {
       rc = run_profile(apps, scale, threads, cfg, fail_at);
     } else {
       rc = have_trace_format ? run_analyze_file(apps, scale, threads, trace_format)
-                             : run_analyze(apps, scale, threads);
+                             : run_analyze(apps, scale);
     }
     const int export_rc = export_telemetry(profile_path, metrics_path);
     return rc ? rc : export_rc;

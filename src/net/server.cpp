@@ -393,7 +393,6 @@ std::string Server::render_report(const std::shared_ptr<RemoteSource>& src,
   analysis::AnalysisOptions aopts;
   aopts.mli_mode = spec.mli_mode;
   aopts.build_ddg = spec.build_ddg;
-  aopts.threads = opts_.analysis_threads > 0 ? opts_.analysis_threads : 1;
   std::string out;
   analysis::Session session;
   session.source(src).region(spec.region).options(aopts);

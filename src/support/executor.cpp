@@ -74,10 +74,8 @@ int resolve_threads(int threads, std::size_t n) {
 
 void run_chunks(std::size_t n, const ExecutorOptions& opts,
                 const std::function<void(std::size_t)>& task,
-                const std::function<void(std::size_t)>& on_ready,
-                FailState* shared_fail) {
-  FailState local;
-  FailState& fail = shared_fail ? *shared_fail : local;
+                const std::function<void(std::size_t)>& on_ready) {
+  FailState fail;
   const int threads = resolve_threads(opts.threads, n);
 
   if (threads <= 1) {
@@ -92,7 +90,7 @@ void run_chunks(std::size_t n, const ExecutorOptions& opts,
         fail.capture(c);
       }
     }
-    if (!shared_fail) fail.rethrow_if_failed();
+    fail.rethrow_if_failed();
     return;
   }
 
@@ -180,7 +178,7 @@ void run_chunks(std::size_t n, const ExecutorOptions& opts,
   }
 
   pool.join();
-  if (!shared_fail) fail.rethrow_if_failed();
+  fail.rethrow_if_failed();
 }
 
 }  // namespace ac

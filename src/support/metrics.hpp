@@ -1,7 +1,7 @@
 // MetricsRegistry: the process-wide table of named counters, gauges and
 // fixed-bucket histograms behind the telemetry layer (telemetry.hpp holds the
 // span side). Naming convention is `layer.noun_unit` — e.g.
-// `parse.records_parsed`, `decode.bytes_decoded`, `classify.shard_events`,
+// `parse.records_parsed`, `decode.bytes_decoded`, `classify.events`,
 // `ckpt.l1_delta_bytes`, `codec.encode_ns`.
 //
 // Hot-path contract: metric objects have stable addresses for the life of the

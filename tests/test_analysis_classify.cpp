@@ -23,6 +23,11 @@ TEST(Classify, Fig4MatchesPaperVerdict) {
   const std::map<std::string, std::string> want = {
       {"r", "WAR"}, {"a", "RAPO"}, {"sum", "Outcome"}, {"it", "Index"}};
   EXPECT_EQ(got, want);
+
+  // Degenerate input: no events, no MLI variables — an empty verdict.
+  const ClassifyResult empty = classify(DepResult{}, PreprocessResult{});
+  EXPECT_TRUE(empty.critical.empty());
+  EXPECT_TRUE(empty.all_mli.empty());
 }
 
 TEST(Classify, ScalarAccumulatorIsWar) {

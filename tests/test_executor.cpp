@@ -151,30 +151,6 @@ TEST(Executor, BoundedInFlight) {
   EXPECT_LE(peak, kBound);
 }
 
-TEST(Executor, SharedFailStateSpansStages) {
-  // A failure in one region parks in the shared FailState instead of
-  // throwing, cancels a second region outright, and rethrows once at the end
-  // — the classify_pipelined shape.
-  FailState fail;
-  ExecutorOptions opts;
-  opts.threads = 2;
-  std::atomic<std::size_t> stage2_ran{0};
-  run_chunks(8, opts, [&](std::size_t c) {
-    if (c == 1) throw ChunkError("stage one failed");
-  },
-             {}, &fail);
-  EXPECT_TRUE(fail.failed());
-  EXPECT_TRUE(fail.cancelled());
-  run_chunks(8, opts, [&](std::size_t) { stage2_ran.fetch_add(1); }, {}, &fail);
-  EXPECT_EQ(stage2_ran.load(), 0u) << "cancelled region must run nothing";
-  try {
-    fail.rethrow_if_failed();
-    FAIL() << "error was swallowed";
-  } catch (const ChunkError& e) {
-    EXPECT_STREQ("stage one failed", e.what());
-  }
-}
-
 TEST(Executor, WorkerGroupTrapsEscapingExceptions) {
   FailState fail;
   {

@@ -450,8 +450,7 @@ TEST(MctbFrame, RejectsTornAndCorruptFrames) {
 // --- the 14-app property -----------------------------------------------------
 
 /// text -> recode -> mctb -> read must reproduce the exact original bytes,
-/// serial and parallel, and the decoded buffer must classify identically
-/// through the barrier (classify_sharded) and pipelined paths.
+/// serial and parallel.
 class MctbRoundTrip : public testing::TestWithParam<std::string> {};
 
 TEST_P(MctbRoundTrip, TextRecodeReadByteIdentical) {
@@ -469,24 +468,10 @@ TEST_P(MctbRoundTrip, TextRecodeReadByteIdentical) {
   const std::string img = mctb_to_bytes(read_trace_buffer(text), opts);
   EXPECT_LT(img.size(), text.size());  // the container must actually shrink
 
-  TraceBuffer serial = read_mctb(img, 1);
+  const TraceBuffer serial = read_mctb(img, 1);
   const TraceBuffer parallel = read_mctb(img, 4);
   EXPECT_EQ(buffer_text(serial), text);
   EXPECT_EQ(buffer_text(parallel), text);
-
-  // Pipelined-vs-barrier classification identity on the decoded trace.
-  const analysis::MclRegion region = app.mcl();
-  auto pre = analysis::preprocess(serial, region);
-  analysis::DepOptions dopts;
-  dopts.build_ddg = false;
-  const auto dep = analysis::dep_analysis(serial, pre, region, dopts);
-  const auto sequential = analysis::classify(dep, pre);
-  const auto barrier = analysis::classify_sharded(dep, pre, 4);
-  const auto pipelined = analysis::classify_pipelined(dep, pre, 4);
-  EXPECT_EQ(sequential.critical, barrier.critical);
-  EXPECT_EQ(sequential.all_mli, barrier.all_mli);
-  EXPECT_EQ(sequential.critical, pipelined.critical);
-  EXPECT_EQ(sequential.all_mli, pipelined.all_mli);
 }
 
 /// The streaming writer and reader are byte-identical to the buffered paths

@@ -1,8 +1,8 @@
 // The unified Session pipeline API: builder contract, AnalysisOptions thread
-// semantics, TraceSource equivalence (memory / file / live), the parallel
-// sharded classification (bit-identical verdicts at analysis_threads 1 vs 4
-// across all 14 mini-apps), and ReportSink round-trips (JSON -> engine
-// registration matches direct in-memory registration).
+// semantics, TraceSource equivalence (memory / file / live), batch vs
+// streaming vs threaded verdict identity across all 14 mini-apps, and
+// ReportSink round-trips (JSON -> engine registration matches direct
+// in-memory registration).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -59,19 +59,24 @@ TEST(SessionBuilder, MatchesLegacyFacade) {
 
 // --- options semantics ------------------------------------------------------
 
-TEST(SessionOptions, ThreadsKnobDrivesBothStages) {
-  AnalysisOptions opts;
-  EXPECT_EQ(opts.effective_read_threads(), 1);
-  EXPECT_EQ(opts.effective_analysis_threads(), 1);
+TEST(SessionOptions, LegacyParallelReadMapsOntoThreads) {
+  // `threads` is the one parallelism knob; the legacy facade's parallel_read
+  // lands on it, with read_threads as the count and the runtime default
+  // when read_threads is 0.
+  const AnalysisOptions serial = AutoCheckOptions{};
+  EXPECT_EQ(serial.threads, 1);
 
-  opts.threads = 4;  // one knob, both stages
-  EXPECT_EQ(opts.effective_read_threads(), 4);
-  EXPECT_EQ(opts.effective_analysis_threads(), 4);
+  AutoCheckOptions parallel_default;
+  parallel_default.parallel_read = true;
+  const AnalysisOptions converted_default = parallel_default;
+  EXPECT_GE(converted_default.threads, 1);
+  EXPECT_EQ(converted_default.threads, default_thread_count());
 
-  opts.read_threads = 2;  // per-stage override wins
-  opts.analysis_threads = 8;
-  EXPECT_EQ(opts.effective_read_threads(), 2);
-  EXPECT_EQ(opts.effective_analysis_threads(), 8);
+  AutoCheckOptions parallel_two;
+  parallel_two.parallel_read = true;
+  parallel_two.read_threads = 2;
+  const AnalysisOptions converted_two = parallel_two;
+  EXPECT_EQ(converted_two.threads, 2);
 }
 
 TEST(SessionOptions, LegacyReadThreadsHonoredWithoutParallelRead) {
@@ -79,240 +84,16 @@ TEST(SessionOptions, LegacyReadThreadsHonoredWithoutParallelRead) {
   AutoCheckOptions legacy;
   legacy.read_threads = 3;
   const AnalysisOptions converted = legacy;
-  EXPECT_EQ(converted.effective_read_threads(), 3);
-
-  AutoCheckOptions parallel_default;
-  parallel_default.parallel_read = true;
-  const AnalysisOptions converted_default = parallel_default;
-  EXPECT_GE(converted_default.effective_read_threads(), 1);
-  EXPECT_EQ(converted_default.effective_read_threads(), default_thread_count());
+  EXPECT_EQ(converted.threads, 3);
 
   AutoCheckOptions plain;
   plain.mli_mode = MliMode::PaperNameMatch;
   plain.build_ddg = false;
+  plain.read_threads = 1;
   const AnalysisOptions kept = plain;
   EXPECT_EQ(kept.mli_mode, MliMode::PaperNameMatch);
   EXPECT_FALSE(kept.build_ddg);
-  EXPECT_EQ(kept.effective_read_threads(), 1);
-}
-
-// --- sharded classification -------------------------------------------------
-
-TEST(SessionParallel, ShardedClassifyBitIdenticalOnFig4) {
-  auto run = test::run_pipeline(test::fig4_source());
-  const MclRegion region = find_mcl_region(test::fig4_source());
-  const Report serial = Session().records(run.records).region(region).run();
-  for (int threads : {2, 3, 4, 7}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-}
-
-TEST(SessionParallel, ClassifyShardedDirectApi) {
-  auto run = test::run_pipeline(test::fig4_source());
-  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
-  const ClassifyResult sharded = classify_sharded(run.report.dep, run.report.pre, 4);
-  EXPECT_EQ(serial.critical, sharded.critical);
-  EXPECT_EQ(serial.all_mli, sharded.all_mli);
-}
-
-TEST(SessionParallel, ClassifyPipelinedBitIdenticalAcrossCorners) {
-  // The pipelined producer/consumer path (what Session actually runs) must be
-  // bit-identical to sequential and to the barrier path across the same
-  // corner matrix: small counts, clamp-triggering absurd counts, and the
-  // degenerate empty input.
-  auto run = test::run_pipeline(test::fig4_source());
-  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
-  for (const int threads : {2, 3, 4, 7, 64, 257, 100000}) {
-    const ClassifyResult barrier = classify_sharded(run.report.dep, run.report.pre, threads);
-    const ClassifyResult pipelined =
-        classify_pipelined(run.report.dep, run.report.pre, threads);
-    EXPECT_EQ(serial.critical, pipelined.critical) << threads;
-    EXPECT_EQ(serial.all_mli, pipelined.all_mli) << threads;
-    EXPECT_EQ(barrier.critical, pipelined.critical) << threads;
-    EXPECT_EQ(barrier.all_mli, pipelined.all_mli) << threads;
-  }
-
-  const DepResult empty_dep;
-  const PreprocessResult empty_pre;
-  const ClassifyResult empty = classify_pipelined(empty_dep, empty_pre, 8);
-  EXPECT_TRUE(empty.critical.empty());
-  EXPECT_TRUE(empty.all_mli.empty());
-}
-
-TEST(SessionParallel, ThreadsExceedingVariableCountClampAndMatch) {
-  // fig4 has 5 MLI variables; 64 (and an absurd 100000) worker requests must
-  // clamp to the variable count and still produce bit-identical verdicts —
-  // never 100000 threads, never an empty-shard crash.
-  auto run = test::run_pipeline(test::fig4_source());
-  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
-  for (const int threads : {64, 257, 100000}) {
-    const ClassifyResult sharded = classify_sharded(run.report.dep, run.report.pre, threads);
-    EXPECT_EQ(serial.critical, sharded.critical) << threads;
-    EXPECT_EQ(serial.all_mli, sharded.all_mli) << threads;
-  }
-}
-
-TEST(SessionParallel, ZeroVariableTraceClassifiesEmpty) {
-  // Degenerate inputs: no events, no MLI variables. Both paths must agree on
-  // the empty verdict instead of dividing by a zero shard count.
-  const DepResult dep;
-  const PreprocessResult pre;
-  const ClassifyResult serial = classify(dep, pre);
-  const ClassifyResult sharded = classify_sharded(dep, pre, 8);
-  EXPECT_TRUE(serial.critical.empty());
-  EXPECT_TRUE(serial.all_mli.empty());
-  EXPECT_EQ(serial.critical, sharded.critical);
-  EXPECT_EQ(serial.all_mli, sharded.all_mli);
-
-  // Source-level version: a computation loop that touches only its induction
-  // variable and a loop-invariant scalar read.
-  const std::string src = R"(
-int main() {
-  int it;
-  int bound = 6;
-  int ticks = 0;
-  //@mcl-begin
-  for (it = 0; it < bound; it = it + 1) {
-    ticks = it;
-  }
-  //@mcl-end
-  print_int(ticks);
-  return 0;
-}
-)";
-  auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial_report = Session().records(run.records).region(region).run();
-  const Report sharded_report =
-      Session().records(run.records).region(region).options(with_threads(16)).run();
-  EXPECT_EQ(serial_report.verdicts.critical, sharded_report.verdicts.critical);
-  EXPECT_EQ(serial_report.verdicts.all_mli, sharded_report.verdicts.all_mli);
-}
-
-TEST(SessionParallel, SkewedSingleHotArrayMatchesSequential) {
-  // Nearly every event lands on one array, so var % threads puts almost the
-  // whole stream into a single shard — the load-balance worst case must
-  // still be bit-identical to sequential (the ROADMAP's balance follow-up is
-  // about speed, not correctness).
-  const std::string src = R"(
-double hot[128];
-int main() {
-  int it;
-  int i;
-  double checksum = 0.0;
-  for (i = 0; i < 128; i = i + 1) { hot[i] = 1.0; }
-  //@mcl-begin
-  for (it = 0; it < 6; it = it + 1) {
-    for (i = 1; i < 128; i = i + 1) {
-      hot[i] = hot[i] + hot[i - 1] * 0.5;
-    }
-    checksum = checksum + hot[127];
-  }
-  //@mcl-end
-  print_float(checksum);
-  return 0;
-}
-)";
-  auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial = Session().records(run.records).region(region).run();
-  for (const int threads : {2, 4, 7}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-  // The hot array itself must be in the verdict set (stale consumption of
-  // hot[i-1] across iterations), or the test is not exercising the skew.
-  bool hot_found = false;
-  for (const auto& cv : serial.verdicts.critical) hot_found |= cv.name == "hot";
-  EXPECT_TRUE(hot_found);
-}
-
-// --- event-count-balanced shard assignment (LPT) -----------------------------
-
-TEST(LptAssignment, IsolatesTheHotVariable) {
-  // One variable carries nearly every event: LPT must give it a shard of its
-  // own and spread the rest, instead of `var % threads` landing everything in
-  // one shard.
-  const std::vector<std::pair<int, std::uint64_t>> counts = {
-      {0, 100000}, {1, 10}, {2, 12}, {3, 8}};
-  const std::vector<int> shard = lpt_shard_assignment(counts, 2);
-  ASSERT_EQ(shard.size(), counts.size());
-  const int hot = shard[0];
-  EXPECT_NE(shard[1], hot);
-  EXPECT_NE(shard[2], hot);
-  EXPECT_NE(shard[3], hot);
-}
-
-TEST(LptAssignment, BalancesEqualLoads) {
-  std::vector<std::pair<int, std::uint64_t>> counts;
-  for (int v = 0; v < 8; ++v) counts.emplace_back(v, 100);
-  const std::vector<int> shard = lpt_shard_assignment(counts, 4);
-  std::vector<int> per_shard(4, 0);
-  for (const int s : shard) {
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 4);
-    ++per_shard[static_cast<std::size_t>(s)];
-  }
-  for (const int n : per_shard) EXPECT_EQ(n, 2);  // perfectly even
-}
-
-TEST(LptAssignment, DegenerateCornersAndDeterminism) {
-  // threads > vars: every variable gets its own shard; empty shards are fine.
-  const std::vector<std::pair<int, std::uint64_t>> few = {{5, 7}, {9, 3}};
-  const std::vector<int> wide = lpt_shard_assignment(few, 16);
-  EXPECT_NE(wide[0], wide[1]);
-
-  // Zero variables / single shard / zero-count ties are all well-defined.
-  EXPECT_TRUE(lpt_shard_assignment({}, 4).empty());
-  EXPECT_EQ(lpt_shard_assignment(few, 1), (std::vector<int>{0, 0}));
-  const std::vector<std::pair<int, std::uint64_t>> ties = {{3, 0}, {1, 0}, {2, 0}};
-  const std::vector<int> a = lpt_shard_assignment(ties, 2);
-  const std::vector<int> b = lpt_shard_assignment(ties, 2);
-  EXPECT_EQ(a, b);  // deterministic under ties (ordered by var id)
-}
-
-TEST(LptAssignment, SkewedHotArrayStillBitIdentical) {
-  // The skewed single-hot-array program under the *balanced* assignment: the
-  // hot shard now isolates `hot`, and the verdicts must remain bit-identical
-  // to sequential for every worker count (including threads > vars).
-  const std::string src = R"(
-double hot[96];
-int main() {
-  int it;
-  int i;
-  double checksum = 0.0;
-  double aux = 0.0;
-  for (i = 0; i < 96; i = i + 1) { hot[i] = 1.0; }
-  //@mcl-begin
-  for (it = 0; it < 5; it = it + 1) {
-    for (i = 1; i < 96; i = i + 1) {
-      hot[i] = hot[i] + hot[i - 1] * 0.5;
-    }
-    aux = aux + hot[95];
-    checksum = checksum + aux;
-  }
-  //@mcl-end
-  print_float(checksum);
-  return 0;
-}
-)";
-  auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial = Session().records(run.records).region(region).run();
-  for (const int threads : {2, 3, 5, 64}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-  bool hot_found = false;
-  for (const auto& cv : serial.verdicts.critical) hot_found |= cv.name == "hot";
-  EXPECT_TRUE(hot_found);
+  EXPECT_EQ(kept.threads, 1);
 }
 
 // --- trace sources ----------------------------------------------------------

@@ -1,7 +1,7 @@
 // Telemetry layer: span recording and merging across threads, ring-overflow
 // accounting, metric atomics under contention, exporter structure, and the
 // end-to-end pins of registry metrics against pipeline ground truth
-// (records parsed, shard events, VM instructions).
+// (records parsed, classified events, VM instructions).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -226,10 +226,9 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
       analysis::Session().buffer(std::move(buf)).region(region).options(opts).run();
   telemetry().disable();
 
-  // The per-shard delivery counts must sum to exactly the event stream: no
-  // event dropped by the routing sweep, none double-counted across shards.
+  // The classifier counts exactly the event stream it scanned.
   EXPECT_GT(report.dep.events.size(), 0u);
-  EXPECT_EQ(metrics().counter_value("classify.shard_events"), report.dep.events.size());
+  EXPECT_EQ(metrics().counter_value("classify.events"), report.dep.events.size());
   EXPECT_EQ(test::critical_map(report), test::critical_map(run.report));
 
   // The Session recorded spans under opts.telemetry.

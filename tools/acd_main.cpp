@@ -36,7 +36,6 @@ int usage() {
                "  --listen HOST:PORT   listen address (default 127.0.0.1:7433; port 0 =\n"
                "                       ephemeral, see --port-file)\n"
                "  --port-file PATH     write the bound port to PATH once listening\n"
-               "  --threads N          analysis threads per report run (default 1)\n"
                "  --queue-depth N      per-connection frame queue bound (default 8)\n"
                "  --idle-timeout MS    reap connections idle for MS ms; 0 disables\n"
                "                       (default 300000)\n"
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
       listen_spec = next();
     } else if (arg == "--port-file") {
       port_file = next();
-    } else if (arg == "--threads") {
-      opts.analysis_threads = parse_int_arg(arg, next(), 1);
     } else if (arg == "--queue-depth") {
       opts.queue_depth = static_cast<std::size_t>(parse_int_arg(arg, next(), 1));
     } else if (arg == "--idle-timeout") {
@@ -140,9 +137,8 @@ int main(int argc, char** argv) {
       std::fclose(f);
     }
     if (!quiet) {
-      std::fprintf(stderr, "acd: listening on %s:%u (threads %d, queue depth %zu)\n",
-                   opts.host.c_str(), static_cast<unsigned>(server.port()),
-                   opts.analysis_threads, opts.queue_depth);
+      std::fprintf(stderr, "acd: listening on %s:%u (queue depth %zu)\n",
+                   opts.host.c_str(), static_cast<unsigned>(server.port()), opts.queue_depth);
     }
 
     server.run();
